@@ -1,8 +1,9 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/deps"
@@ -47,8 +48,9 @@ func Chunks(iters []poly.Point, n int) [][]poly.Point {
 // dependence study kernels).
 func BasePlus(k *workloads.Kernel, m *topology.Machine, blockBytes int64) ([][]poly.Point, error) {
 	layout := k.Layout(blockBytes)
-	chunks := Base(k, m.NumCores())
-	if deps.HasLoopCarried(k.Nest.Points(), k.Refs, layout) {
+	iters := k.Nest.Points()
+	chunks := Chunks(iters, m.NumCores())
+	if deps.HasLoopCarried(iters, k.Refs, layout) {
 		return chunks, nil
 	}
 	l1, err := privateL1(m)
@@ -112,35 +114,45 @@ func Candidates(chunk []poly.Point) []candidate {
 	if dims < 2 {
 		return cands
 	}
-	cands = append(cands, candidate{name: "permute", order: reorder(chunk, func(p poly.Point) []int64 {
-		return []int64{p[1], p[0]}
+	cands = append(cands, candidate{name: "permute", order: reorder(chunk, func(dst []int64, p poly.Point) []int64 {
+		return append(dst, p[1], p[0])
 	})})
 	for _, t := range []int64{16, 32, 64, 128} {
-		t := t
 		cands = append(cands,
-			candidate{name: fmt.Sprintf("tile%d", t), order: reorder(chunk, func(p poly.Point) []int64 {
-				return []int64{p[0] / t, p[1] / t, p[0], p[1]}
+			candidate{name: fmt.Sprintf("tile%d", t), order: reorder(chunk, func(dst []int64, p poly.Point) []int64 {
+				return append(dst, p[0]/t, p[1]/t, p[0], p[1])
 			})},
-			candidate{name: fmt.Sprintf("tile%d-perm", t), order: reorder(chunk, func(p poly.Point) []int64 {
-				return []int64{p[1] / t, p[0] / t, p[1], p[0]}
+			candidate{name: fmt.Sprintf("tile%d-perm", t), order: reorder(chunk, func(dst []int64, p poly.Point) []int64 {
+				return append(dst, p[1]/t, p[0]/t, p[1], p[0])
 			})},
 		)
 	}
 	return cands
 }
 
-// reorder stably sorts a copy of the points by the given key.
-func reorder(chunk []poly.Point, key func(poly.Point) []int64) []poly.Point {
-	out := append([]poly.Point(nil), chunk...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ki, kj := key(out[i]), key(out[j])
-		for x := range ki {
-			if ki[x] != kj[x] {
-				return ki[x] < kj[x]
-			}
+// reorder returns a copy of the (non-empty) chunk stably sorted by the
+// fixed-width key that key appends for each point. Keys are computed once
+// per point; ties keep program order, as a stable sort would.
+func reorder(chunk []poly.Point, key func(dst []int64, p poly.Point) []int64) []poly.Point {
+	var keys []int64
+	for _, p := range chunk {
+		keys = key(keys, p)
+	}
+	w := len(keys) / len(chunk)
+	perm := make([]int, len(chunk))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := slices.Compare(keys[a*w:(a+1)*w], keys[b*w:(b+1)*w]); c != 0 {
+			return c
 		}
-		return false
+		return cmp.Compare(a, b)
 	})
+	out := make([]poly.Point, len(chunk))
+	for i, j := range perm {
+		out[i] = chunk[j]
+	}
 	return out
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -284,7 +283,7 @@ func (d *distributor) clusterLevel(units []*unit, k int) ([]*cluster, error) {
 		c.add(u)
 		cs = append(cs, c)
 	}
-	cs = mergeToK(cs, k, d.width, d.opt.NoMergeCap)
+	cs = mergeToK(cs, k, d.opt.NoMergeCap)
 	// Split phase: too few clusters for the child count (including the
 	// degenerate case of a subtree that received nothing at all).
 	for len(cs) < k {
@@ -375,7 +374,12 @@ func (d *distributor) splitGroup(id, want int) (int, int) {
 // the ideal cluster size) keeps the k clusters comparable while still
 // maximizing sharing; capped-out pairs are retried only when nothing else
 // remains.
-func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
+//
+// The heap's pop order is part of the algorithm's tie-break contract:
+// pairHeap.less reads the live size and repr of clusters that grow after a
+// fusion, so which of several tied pairs wins depends on the exact push
+// sequence and sift mechanics below, and changing either moves mappings.
+func mergeToK(cs []*cluster, k int, noCap bool) []*cluster {
 	if len(cs) <= k {
 		return cs
 	}
@@ -387,31 +391,34 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 	if k > 1 && !noCap {
 		sizeCap = total*5/(4*k) + 1 // 1.25 × ideal
 	}
-	alive := make(map[*cluster]bool, len(cs))
-	for _, c := range cs {
-		alive[c] = true
+	n := len(cs)
+	dead := make([]bool, n)
+	// The heap never holds more than n(n-1) entries: the n(n-1)/2 initial
+	// pairs plus at most live-1 refreshed pairs per fusion.
+	h := &pairHeap{e: make([]pairEntry, 0, n*(n-1)), size: make([]int, n), repr: make([]int, n)}
+	for i, c := range cs {
+		h.size[i], h.repr[i] = c.size, c.repr
 	}
-	h := &pairHeap{}
-	push := func(a, b *cluster) {
-		heap.Push(h, pairEntry{dot: a.tag.Dot(b.tag), a: a, b: b})
+	push := func(a, b int) {
+		h.push(pairEntry{dot: int32(cs[a].tag.Dot(cs[b].tag)), a: int32(a), b: int32(b)})
 	}
-	for i := 0; i < len(cs); i++ {
-		for j := i + 1; j < len(cs); j++ {
-			push(cs[i], cs[j])
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			push(i, j)
 		}
 	}
-	live := len(cs)
+	live := n
 	capped := true // whether the size cap is currently enforced
 	var deferred []pairEntry
 	for live > k {
 		var best pairEntry
 		found := false
-		for h.Len() > 0 {
-			best = heap.Pop(h).(pairEntry)
-			if !alive[best.a] || !alive[best.b] {
+		for len(h.e) > 0 {
+			best = h.pop()
+			if dead[best.a] || dead[best.b] {
 				continue
 			}
-			if capped && best.a.size+best.b.size > sizeCap {
+			if capped && h.size[best.a]+h.size[best.b] > sizeCap {
 				deferred = append(deferred, best)
 				continue
 			}
@@ -424,7 +431,7 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 				// deferred pairs (still max-dot first via the heap).
 				capped = false
 				for _, p := range deferred {
-					heap.Push(h, p)
+					h.push(p)
 				}
 				deferred = nil
 				continue
@@ -432,71 +439,109 @@ func mergeToK(cs []*cluster, k, width int, noCap bool) []*cluster {
 			break
 		}
 		// Fuse b into a; b dies.
-		for _, u := range best.b.units {
-			best.a.add(u)
+		a := cs[best.a]
+		for _, u := range cs[best.b].units {
+			a.add(u)
 		}
-		delete(alive, best.b)
+		h.size[best.a], h.repr[best.a] = a.size, a.repr
+		dead[best.b] = true
 		live--
 		if live <= k {
 			break
 		}
-		// Refresh pairs involving the fused cluster, iterating the stable
-		// slice (not the map) so runs are deterministic.
-		for _, c := range cs {
-			if alive[c] && c != best.a {
-				push(best.a, c)
+		// Refresh pairs involving the fused cluster, in slice order so runs
+		// are deterministic.
+		for i := range cs {
+			if !dead[i] && i != int(best.a) {
+				push(int(best.a), i)
 			}
 		}
 	}
-	var out []*cluster
-	for _, c := range cs {
-		if alive[c] {
+	out := make([]*cluster, 0, live)
+	for i, c := range cs {
+		if !dead[i] {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// pairEntry is a candidate merge in the agglomerative clustering heap.
+// pairEntry is a candidate merge in the agglomerative clustering heap: the
+// dot product of clusters cs[a] and cs[b] when the pair was pushed.
 type pairEntry struct {
-	dot  int
-	a, b *cluster
+	dot  int32
+	a, b int32
 }
 
 // pairHeap is a max-heap of merge candidates by dot product; ties prefer
-// program-adjacent clusters (smallest representative-ID distance), then
-// smaller combined size — both deterministic.
-type pairHeap []pairEntry
+// smaller combined size, then program-adjacent clusters (smallest
+// representative-ID distance) — both deterministic. size and repr mirror
+// the clusters' live values (mergeToK refreshes them after each fusion).
+// push and pop sift exactly as container/heap does.
+type pairHeap struct {
+	e          []pairEntry
+	size, repr []int
+}
 
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	if h[i].dot != h[j].dot {
-		return h[i].dot > h[j].dot
+func (h *pairHeap) less(i, j int) bool {
+	x, y := h.e[i], h.e[j]
+	if x.dot != y.dot {
+		return x.dot > y.dot
 	}
-	si := h[i].a.size + h[i].b.size
-	sj := h[j].a.size + h[j].b.size
+	si := h.size[x.a] + h.size[x.b]
+	sj := h.size[y.a] + h.size[y.b]
 	if si != sj {
 		return si < sj
 	}
 	// Final tie: program adjacency (smallest representative-ID distance).
-	di := h[i].a.repr - h[i].b.repr
+	di := h.repr[x.a] - h.repr[x.b]
 	if di < 0 {
 		di = -di
 	}
-	dj := h[j].a.repr - h[j].b.repr
+	dj := h.repr[y.a] - h.repr[y.b]
 	if dj < 0 {
 		dj = -dj
 	}
 	return di < dj
 }
-func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pairEntry)) }
-func (h *pairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *pairHeap) push(p pairEntry) {
+	h.e = append(h.e, p)
+	// Sift up.
+	j := len(h.e) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.e[i], h.e[j] = h.e[j], h.e[i]
+		j = i
+	}
+}
+
+func (h *pairHeap) pop() pairEntry {
+	n := len(h.e) - 1
+	h.e[0], h.e[n] = h.e[n], h.e[0]
+	// Sift down over h.e[:n].
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.e[i], h.e[j] = h.e[j], h.e[i]
+		i = j
+	}
+	p := h.e[n]
+	h.e = h.e[:n]
+	return p
 }
 
 // balance implements Fig 6's greedy load-balancing step, with limits

@@ -1,6 +1,7 @@
 package deps
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/affinity"
@@ -43,10 +44,16 @@ type Dep struct {
 
 // elemState tracks, per data element, the last writing group and the groups
 // that have read it since, as the analysis sweeps iterations in program
-// order.
+// order. The readers form a list threaded through a shared arena, oldest
+// first.
 type elemState struct {
-	lastWriter   int // group id, -1 if none yet
-	readersSince []int
+	lastWriter int32 // group id, -1 if none yet
+	readers    int32 // arena index of the first reader since, -1 if none
+}
+
+// readerNode is one entry of an element's reader list.
+type readerNode struct {
+	group, next int32 // next is -1 at the end of the list
 }
 
 // Analyze sweeps the iterations in program order and builds the group
@@ -57,96 +64,163 @@ type elemState struct {
 // selfDep, because load balancing may later split them and their pieces
 // must then stay ordered.
 //
-// iters must be the same slice (and order) the tagging was computed from.
+// iters must be the same slice (and order) the tagging was computed from:
+// the group of iters[i] is read from tg.IterGroup[i].
 func Analyze(iters []poly.Point, tg *tags.Tagging) (dg *affinity.Digraph, selfDep []bool) {
-	groupOf := groupIndex(iters, tg)
+	if len(tg.IterGroup) != len(iters) {
+		//lint:ignore cellboundary programmer-error invariant on an internal API; repro.capturePanic converts it to a contained PanicError at the cell boundary
+		panic(fmt.Sprintf("deps: tagging records %d iterations, Analyze got %d", len(tg.IterGroup), len(iters)))
+	}
 	dg = affinity.NewDigraph(len(tg.Groups))
 	selfDep = make([]bool, len(tg.Groups))
-	state := make(map[int64]*elemState)
+	bound := elemBound(len(iters), tg.Refs, tg.Layout)
+	index := make(map[int64]int32, bound)
+	state := make([]elemState, 0, bound)
+	var arena []readerNode
 	for idx, p := range iters {
-		g := groupOf[idx]
+		g := tg.IterGroup[idx]
 		for _, r := range tg.Refs {
 			addr := tg.Layout.AddrOf(r, p)
-			st, ok := state[addr]
+			si, ok := index[addr]
 			if !ok {
-				st = &elemState{lastWriter: -1}
-				state[addr] = st
+				si = int32(len(state))
+				index[addr] = si
+				state = append(state, elemState{lastWriter: -1, readers: -1})
 			}
+			st := &state[si]
 			if r.Kind.Reads() {
 				if st.lastWriter >= 0 {
 					if st.lastWriter != g {
-						dg.AddEdge(st.lastWriter, g) // flow
+						dg.AddEdge(int(st.lastWriter), int(g)) // flow
 					} else {
 						selfDep[g] = true
 					}
 				}
-				st.readersSince = appendUnique(st.readersSince, g)
+				arena = addReader(arena, &st.readers, g)
 			}
 			if r.Kind.Writes() {
 				if st.lastWriter >= 0 {
 					if st.lastWriter != g {
-						dg.AddEdge(st.lastWriter, g) // output
+						dg.AddEdge(int(st.lastWriter), int(g)) // output
 					} else {
 						selfDep[g] = true
 					}
 				}
-				for _, rd := range st.readersSince {
-					if rd != g {
-						dg.AddEdge(rd, g) // anti
+				for n := st.readers; n >= 0; n = arena[n].next {
+					if rd := arena[n].group; rd != g {
+						dg.AddEdge(int(rd), int(g)) // anti
 					} else {
 						selfDep[g] = true
 					}
 				}
 				st.lastWriter = g
-				st.readersSince = st.readersSince[:0]
+				st.readers = -1
 			}
 		}
 	}
 	return dg, selfDep
 }
 
+// addReader appends group g to the reader list starting at *head unless it
+// is already there (lists stay tiny: readers between two writes of one
+// element).
+func addReader(arena []readerNode, head *int32, g int32) []readerNode {
+	link := head
+	for *link >= 0 {
+		if arena[*link].group == g {
+			return arena
+		}
+		link = &arena[*link].next
+	}
+	*link = int32(len(arena))
+	return append(arena, readerNode{group: g, next: -1})
+}
+
 // IterationDeps lists iteration-level loop-carried dependences (for tests,
-// reporting and schedule validation). It caps the result at limit entries
-// (0 = unlimited) since dense kernels can carry very many.
+// reporting and schedule validation): for every access, the nearest
+// conflicting access of an earlier iteration to the same element — the
+// latest write for a read, the latest access of either kind for a write.
+// It caps the result at limit entries (0 = unlimited) since dense kernels
+// can carry very many.
 func IterationDeps(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout, limit int) []Dep {
 	type access struct {
-		iter  int
-		write bool
-		read  bool
+		iter        int32 // -1: none
+		read, write bool
 	}
+	// history holds what the nearest-conflict search needs of one
+	// element's accesses: the latest access and the latest write, each
+	// with the latest one of an earlier iteration, because accesses of
+	// the iteration being swept never conflict with it.
+	type history struct {
+		last, lastBefore   access
+		write, writeBefore access
+	}
+	none := access{iter: -1}
 	var out []Dep
-	last := make(map[int64][]access)
-	for idx, p := range iters {
+	bound := elemBound(len(iters), refs, layout)
+	index := make(map[int64]int32, bound)
+	hist := make([]history, 0, bound)
+	for i, p := range iters {
+		idx := int32(i)
 		for _, r := range refs {
-			addr := layout.AddrOf(r, p)
 			cur := access{iter: idx, write: r.Kind.Writes(), read: r.Kind.Reads()}
-			hist := last[addr]
-			for i := len(hist) - 1; i >= 0; i-- {
-				prev := hist[i]
+			if !cur.read && !cur.write {
+				continue
+			}
+			addr := layout.AddrOf(r, p)
+			hi, ok := index[addr]
+			if !ok {
+				hi = int32(len(hist))
+				index[addr] = hi
+				hist = append(hist, history{none, none, none, none})
+			}
+			h := &hist[hi]
+			prev := h.write
+			if prev.iter == idx {
+				prev = h.writeBefore
+			}
+			if cur.write {
+				prev = h.last
 				if prev.iter == idx {
-					continue
+					prev = h.lastBefore
 				}
-				var k Kind
+			}
+			if prev.iter >= 0 {
+				k := Anti
 				switch {
 				case prev.write && cur.read:
 					k = Flow
-				case prev.write && cur.write:
+				case prev.write:
 					k = Output
-				case prev.read && cur.write:
-					k = Anti
-				default:
-					continue
 				}
 				out = append(out, Dep{Src: iters[prev.iter].Clone(), Dst: p.Clone(), Kind: k})
 				if limit > 0 && len(out) >= limit {
 					return out
 				}
-				break // nearest conflicting access suffices
 			}
-			last[addr] = append(hist, cur)
+			if h.last.iter != idx {
+				h.lastBefore = h.last
+			}
+			h.last = cur
+			if cur.write {
+				if h.write.iter != idx {
+					h.writeBefore = h.write
+				}
+				h.write = cur
+			}
 		}
 	}
 	return out
+}
+
+// elemBound bounds the distinct data elements a sweep of n iterations
+// touches: at most one per access, and no more than the layout holds.
+func elemBound(n int, refs []*poly.Ref, layout *poly.Layout) int64 {
+	var elems int64
+	for _, a := range layout.Arrays {
+		elems += a.Elems()
+	}
+	return min(int64(n)*int64(len(refs)), elems)
 }
 
 // HasLoopCarried reports whether the nest has any loop-carried dependence —
@@ -191,32 +265,6 @@ func CollapseCycles(groups []*tags.Group, dg *affinity.Digraph, selfDep []bool) 
 		}
 	}
 	return merged, dag, mergedSelf
-}
-
-// groupIndex maps each iteration (by its index in iters) to its group id.
-func groupIndex(iters []poly.Point, tg *tags.Tagging) []int {
-	pos := make(map[string]int, len(iters))
-	for i, p := range iters {
-		pos[p.String()] = i
-	}
-	out := make([]int, len(iters))
-	for gi, g := range tg.Groups {
-		for _, p := range g.Iters {
-			out[pos[p.String()]] = gi
-		}
-	}
-	return out
-}
-
-// appendUnique appends v if not present (lists stay tiny: readers between
-// two writes of one element).
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
 }
 
 // sortPoints orders points lexicographically (program order).

@@ -1,7 +1,9 @@
 package tags
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/poly"
@@ -35,15 +37,18 @@ type Tagging struct {
 	NumBlocks int
 	// TotalIters is the number of iterations across all groups.
 	TotalIters int
+	// IterGroup[i] is the index in Groups of the group holding the i-th
+	// iteration of the slice the tagging was computed from. Compute fills
+	// it and Coarsen remaps it, so dependence analysis can walk iterations
+	// in program order without looking points up.
+	IterGroup []int32
 }
 
 // GroupOf returns the group containing iteration p, or nil.
 func (tg *Tagging) GroupOf(p poly.Point) *Group {
-	// Tag the point and look it up; cheaper than searching every group.
 	t := TagOf(p, tg.Refs, tg.Layout, tg.NumBlocks)
-	key := t.Key()
 	for _, g := range tg.Groups {
-		if g.Tag.Key() == key {
+		if g.Tag.Equal(t) {
 			return g
 		}
 	}
@@ -67,19 +72,54 @@ func TagOf(p poly.Point, refs []*poly.Ref, layout *poly.Layout, numBlocks int) T
 // Compute tags every iteration of the given point list and clusters
 // iterations with identical tags into groups, in first-appearance order.
 // This is the "Initialization" step of the Fig 6 algorithm.
+//
+// An iteration's tag is fully described by the sorted set of blocks its
+// references touch, so iterations are grouped by that block tuple and the
+// dense bit-vector Tag is built once per group: the cost is
+// O(iterations × refs), independent of the number of blocks.
 func Compute(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout) *Tagging {
 	numBlocks := layout.NumBlocks()
-	byKey := make(map[string]*Group)
+	byTuple := make(map[string]int32)
 	var groups []*Group
-	for _, p := range iters {
-		t := TagOf(p, refs, layout, numBlocks)
-		k := t.Key()
-		g, ok := byKey[k]
-		if !ok {
-			g = &Group{ID: len(groups), Tag: t}
-			byKey[k] = g
-			groups = append(groups, g)
+	var sizes []int
+	iterGroup := make([]int32, len(iters))
+	blocks := make([]int, 0, len(refs))
+	var key []byte
+	for i, p := range iters {
+		blocks = blocks[:0]
+		for _, r := range refs {
+			blocks = append(blocks, layout.BlockOf(r, p))
 		}
+		slices.Sort(blocks)
+		blocks = slices.Compact(blocks)
+		key = key[:0]
+		for _, b := range blocks {
+			key = binary.AppendUvarint(key, uint64(b))
+		}
+		gi, ok := byTuple[string(key)]
+		if !ok {
+			t := NewTag(numBlocks)
+			for _, b := range blocks {
+				t.Set(b)
+			}
+			gi = int32(len(groups))
+			byTuple[string(key)] = gi
+			groups = append(groups, &Group{ID: len(groups), Tag: t})
+			sizes = append(sizes, 0)
+		}
+		iterGroup[i] = gi
+		sizes[gi]++
+	}
+	// Lay every group's members out in one backing array, each group's
+	// window capped so appends never spill into a neighbour.
+	backing := make([]poly.Point, len(iters))
+	off := 0
+	for gi, g := range groups {
+		g.Iters = backing[off : off : off+sizes[gi]]
+		off += sizes[gi]
+	}
+	for i, p := range iters {
+		g := groups[iterGroup[i]]
 		g.Iters = append(g.Iters, p)
 	}
 	return &Tagging{
@@ -88,6 +128,7 @@ func Compute(iters []poly.Point, refs []*poly.Ref, layout *poly.Layout) *Tagging
 		Refs:       refs,
 		NumBlocks:  numBlocks,
 		TotalIters: len(iters),
+		IterGroup:  iterGroup,
 	}
 }
 
@@ -111,19 +152,18 @@ func SplitGroup(g *Group, want, id1, id2 int) (*Group, *Group) {
 	return a, b
 }
 
-// Validate checks the §3.3 invariants: groups are disjoint, cover the whole
-// space, and every member iteration actually matches its group tag.
+// Validate checks the §3.3 invariants against the iteration slice the
+// tagging was computed from: groups are disjoint and cover the whole space
+// in program order, IterGroup places every iteration in the group that
+// holds it, and every member iteration actually matches its group tag.
 func (tg *Tagging) Validate(allIters []poly.Point) error {
-	seen := make(map[string]int)
+	if len(tg.IterGroup) != len(allIters) {
+		return fmt.Errorf("tags: tagging records %d iterations, space has %d", len(tg.IterGroup), len(allIters))
+	}
 	total := 0
 	for _, g := range tg.Groups {
 		total += g.Size()
 		for _, p := range g.Iters {
-			k := p.String()
-			if prev, dup := seen[k]; dup {
-				return fmt.Errorf("tags: iteration %v in groups %d and %d", p, prev, g.ID)
-			}
-			seen[k] = g.ID
 			t := TagOf(p, tg.Refs, tg.Layout, tg.NumBlocks)
 			if !t.Equal(g.Tag) {
 				return fmt.Errorf("tags: iteration %v has tag %s but sits in group %s", p, t, g.Tag)
@@ -133,10 +173,20 @@ func (tg *Tagging) Validate(allIters []poly.Point) error {
 	if total != len(allIters) {
 		return fmt.Errorf("tags: groups cover %d iterations, space has %d", total, len(allIters))
 	}
-	for _, p := range allIters {
-		if _, ok := seen[p.String()]; !ok {
-			return fmt.Errorf("tags: iteration %v not covered by any group", p)
+	// Walk the space in order with one cursor per group: each iteration
+	// must be the next member of its recorded group. With the totals
+	// equal, every member is then matched exactly once.
+	next := make([]int, len(tg.Groups))
+	for i, p := range allIters {
+		gi := int(tg.IterGroup[i])
+		if gi < 0 || gi >= len(tg.Groups) {
+			return fmt.Errorf("tags: iteration %v recorded in nonexistent group %d", p, gi)
 		}
+		g := tg.Groups[gi]
+		if next[gi] >= g.Size() || !g.Iters[next[gi]].Equal(p) {
+			return fmt.Errorf("tags: iteration %v not covered by its group %d in program order", p, g.ID)
+		}
+		next[gi]++
 	}
 	return nil
 }
@@ -168,15 +218,22 @@ func Coarsen(tg *Tagging, limit int) *Tagging {
 		return tg
 	}
 	groups := append([]*Group(nil), tg.Groups...)
+	// of[o] is the index in groups of the group now holding input group o.
+	of := make([]int32, len(groups))
+	for o := range of {
+		of[o] = int32(o)
+	}
 	const window = 8
 	for len(groups) > limit {
 		next := make([]*Group, 0, (len(groups)+1)/2)
 		used := make([]bool, len(groups))
+		to := make([]int32, len(groups))
 		for i := range groups {
 			if used[i] {
 				continue
 			}
 			used[i] = true
+			to[i] = int32(len(next))
 			// Find the best unmerged partner within the window.
 			best, bestDot := -1, -1
 			for j := i + 1; j < len(groups) && j <= i+window; j++ {
@@ -192,6 +249,7 @@ func Coarsen(tg *Tagging, limit int) *Tagging {
 				continue
 			}
 			used[best] = true
+			to[best] = int32(len(next))
 			merged := &Group{
 				Tag:   groups[i].Tag.Or(groups[best].Tag),
 				Iters: append(append([]poly.Point(nil), groups[i].Iters...), groups[best].Iters...),
@@ -202,10 +260,17 @@ func Coarsen(tg *Tagging, limit int) *Tagging {
 		if len(next) == len(groups) {
 			break // nothing mergeable
 		}
+		for o, i := range of {
+			of[o] = to[i]
+		}
 		groups = next
 	}
 	for i, g := range groups {
 		g.ID = i
+	}
+	iterGroup := make([]int32, len(tg.IterGroup))
+	for i, o := range tg.IterGroup {
+		iterGroup[i] = of[o]
 	}
 	return &Tagging{
 		Groups:     groups,
@@ -213,6 +278,7 @@ func Coarsen(tg *Tagging, limit int) *Tagging {
 		Refs:       tg.Refs,
 		NumBlocks:  tg.NumBlocks,
 		TotalIters: tg.TotalIters,
+		IterGroup:  iterGroup,
 	}
 }
 

@@ -1,6 +1,7 @@
 package tags
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,13 +88,13 @@ func TestTagOrHamming(t *testing.T) {
 	}
 }
 
-func TestTagKeyEqual(t *testing.T) {
+func TestTagEqual(t *testing.T) {
 	a, b := FromBits("1010"), FromBits("1010")
-	if a.Key() != b.Key() || !a.Equal(b) {
-		t.Fatal("equal tags should share keys")
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("equal tags should compare equal")
 	}
 	c := FromBits("1011")
-	if a.Key() == c.Key() || a.Equal(c) {
+	if a.Equal(c) || c.Equal(a) {
 		t.Fatal("different tags should differ")
 	}
 	if a.Equal(NewTag(5)) {
@@ -197,6 +198,13 @@ func TestTaggingInvariants(t *testing.T) {
 	if err := tg.Validate(nest.Points()); err != nil {
 		t.Fatal(err)
 	}
+	// An iteration recorded in the wrong group is caught.
+	bad := *tg
+	bad.IterGroup = slices.Clone(tg.IterGroup)
+	bad.IterGroup[0] = (bad.IterGroup[0] + 1) % int32(len(tg.Groups))
+	if err := bad.Validate(nest.Points()); err == nil {
+		t.Fatal("Validate accepted a misrecorded iteration")
+	}
 	if tg.TotalIters != len(all) {
 		t.Fatalf("TotalIters = %d, members = %d", tg.TotalIters, len(all))
 	}
@@ -268,6 +276,16 @@ func TestCoarsen(t *testing.T) {
 	for i, g := range c.Groups {
 		if g.ID != i {
 			t.Fatalf("group %d has ID %d", i, g.ID)
+		}
+	}
+	// Every iteration stays recorded in the coarse group that holds it.
+	iters := poly.NewNest(poly.RectLoop("j", 64, 12*32-64-1)).Points()
+	if len(c.IterGroup) != len(iters) {
+		t.Fatalf("IterGroup records %d iterations, space has %d", len(c.IterGroup), len(iters))
+	}
+	for i, p := range iters {
+		if !slices.ContainsFunc(c.Groups[c.IterGroup[i]].Iters, p.Equal) {
+			t.Fatalf("iteration %v recorded in group %d, which does not hold it", p, c.IterGroup[i])
 		}
 	}
 	// No-op cases.

@@ -12,6 +12,8 @@
 #                        #   suite under -race (workers 2/4/8 byte-
 #                        #   identical to sequential, CheckFull),
 #                        #   a 10s fuzz smoke of the language front end,
+#                        #   a one-iteration smoke of the tagging and
+#                        #   distribution micro-benchmarks (-benchmem),
 #                        #   a -check=sampled smoke of one Table 2
 #                        #   kernel per commercial machine,
 #                        #   the distributed-fabric smoke: fig13
@@ -141,6 +143,10 @@ if [ "$1" = "full" ]; then
 	# the Table 2 kernels x commercial machines, under the race detector.
 	go test -race -run 'TestSetPartitioned' -count=1 .
 	go test -fuzz=FuzzParse -fuzztime=10s ./internal/lang/
+	# Mapping micro-benchmark smoke: one iteration of each tagging,
+	# coarsening and distribution benchmark with allocation reporting, so
+	# they keep compiling and running.
+	go test -run '^$' -bench 'Compute|Coarsen|Distribute' -benchtime=1x -benchmem ./internal/tags ./internal/core
 	for m in harpertown nehalem dunnington; do
 		go run ./cmd/topomap -kernel galgel -machine "$m" -scheme combined -check sampled >/dev/null
 	done
